@@ -1,6 +1,8 @@
 # Build, test and robustness gates for the dedc library and tools.
 #
 #   make ci              — everything a pull request must pass
+#   make e2ebench-test   — the whole-diagnosis benchmark's self-test (e2ebench
+#                          is a module of its own, outside go test ./...)
 #   make check           — ci plus the telemetry gates
 #   make fuzz            — short fuzzing pass over the .bench parser
 #   make chaos           — fault-injection trials under the race detector
@@ -39,7 +41,7 @@ MINATPGSPEEDUP ?= 5
 SUITE ?= quick
 
 .PHONY: all build vet test race fuzz chaos chaos-resume chaos-store \
-	stream-chaos chaos-fleet ci check bench-telemetry journal-check bench \
+	stream-chaos chaos-fleet ci e2ebench-test check bench-telemetry journal-check bench \
 	bench-compare bench-check bench-parallel bench-atpg bench-service clean
 
 all: build
@@ -55,6 +57,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# e2ebench is its own Go module (it imports internal/ through a replace of
+# the root module), so the root go test ./... never reaches its self-test.
+e2ebench-test:
+	cd e2ebench && $(GO) test ./...
 
 # Native fuzzing of the .bench parser, seeded from the checked-in corpus in
 # internal/bench/testdata/fuzz plus the f.Add seeds.
@@ -102,7 +109,7 @@ chaos-fleet:
 	CHAOS_FLEET_TRIALS=50 CHAOS_FLEET_RACE=1 \
 		$(GO) test -race -count 1 -run TestChaosFleetKill -timeout 30m ./cmd/dedcd
 
-ci: vet build race fuzz
+ci: vet build race e2ebench-test fuzz
 
 # Measures Engine.Trial three ways (uninstrumented reference, telemetry
 # disabled, telemetry enabled) and fails when the disabled path — the default

@@ -1,5 +1,5 @@
 // Command atpg builds a test vector set for a .bench netlist: random
-// patterns plus an optional PODEM pass with fault dropping, reporting
+// patterns plus an optional PODEM pass over the faults they miss, reporting
 // stuck-at coverage.
 //
 // Usage:
@@ -28,7 +28,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("atpg", flag.ContinueOnError)
 	in := fs.String("in", "", "input .bench netlist (required)")
 	random := fs.Int("random", 1024, "number of random patterns")
-	det := fs.Bool("det", false, "add PODEM deterministic tests with fault dropping")
+	det := fs.Bool("det", false, "add a PODEM deterministic test for every fault the random patterns miss")
 	seed := fs.Int64("seed", 1, "random seed")
 	backtracks := fs.Int("backtracks", 2000, "PODEM backtrack limit per fault")
 	out := fs.String("o", "", "output vector file (default stdout)")

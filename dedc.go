@@ -8,7 +8,7 @@
 //   - netlists (construction, .bench I/O, generators for ISCAS-like
 //     benchmark circuits),
 //   - 64-bit parallel-pattern simulation,
-//   - test vector generation (random + PODEM with fault dropping),
+//   - test vector generation (random + PODEM for the faults random misses),
 //   - stuck-at fault and Abadir design-error models with injection,
 //   - the paper's incremental diagnosis/correction engine in two modes:
 //     exact multiple stuck-at fault diagnosis (all minimal equivalent fault

@@ -1,8 +1,8 @@
 // Package fault implements the single and multiple stuck-at fault model:
 // fault sites on stems and fanout branches, structural fault injection (used
 // to create the "faulty device" of the experiments), parallel-pattern fault
-// simulation with fault dropping, and classical structural equivalence
-// collapsing.
+// simulation (one event-driven trial per fault over all patterns at once),
+// and classical structural equivalence collapsing.
 package fault
 
 import (

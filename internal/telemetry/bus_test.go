@@ -140,11 +140,12 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
+				// Publish under the lock that draws the value, so the
+				// publish order is the draw order the subscribers check.
 				seqMu.Lock()
 				seq++
-				v := seq
+				b.Publish(seq)
 				seqMu.Unlock()
-				b.Publish(v)
 			}
 		}()
 	}

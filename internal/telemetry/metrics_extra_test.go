@@ -3,6 +3,8 @@ package telemetry
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -142,13 +144,17 @@ func TestRegistryStringRoundTrip(t *testing.T) {
 	}
 }
 
+var publishRuns atomic.Int64
+
 // TestRegistryPublish verifies the expvar integration: the published var
 // renders the same JSON as String, and re-publishing is a no-op rather than
 // an expvar duplicate-name panic.
 func TestRegistryPublish(t *testing.T) {
 	reg := NewRegistry()
 	populate(reg)
-	const name = "test.metrics.publish"
+	// expvar names are process-global and never released, so each run of
+	// the test (go test -count=N) publishes under a fresh one.
+	name := fmt.Sprintf("test.metrics.publish.%d", publishRuns.Add(1))
 	reg.Publish(name)
 	reg.Publish(name) // second call must not panic
 

@@ -42,8 +42,11 @@ func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, 
 		workers = len(faults)
 	}
 
-	newGen := func(topo []circuit.Line, piIdx map[circuit.Line]int, scoap *Scoap) *Podem {
-		p := newPodemWith(c, topo, piIdx, scoap)
+	// The guidance tables are computed once, on this goroutine; after this
+	// point workers only read the circuit.
+	guide := newGuidance(c)
+	newGen := func() *Podem {
+		p := newPodemWith(c, guide)
 		p.Ctx = ctx
 		p.CBacktracks = cBacktracks
 		if opt.BacktrackLimit > 0 {
@@ -54,7 +57,7 @@ func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, 
 
 	var backtracks int64
 	if workers < 2 {
-		p := newGen(c.Topo(), piIndex(c), ComputeScoap(c))
+		p := newGen()
 		cancelled := false
 		for i, f := range faults {
 			if ctx.Err() != nil {
@@ -67,13 +70,6 @@ func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, 
 		return outs, p.Backtracks, cancelled
 	}
 
-	// Pre-warm every lazily derived structure Generate touches (topo order,
-	// fanout lists) on this goroutine, and compute the SCOAP tables once;
-	// after this point workers only read the circuit.
-	topo := c.Topo()
-	c.Fanout()
-	piIdx := piIndex(c)
-	scoap := ComputeScoap(c)
 	cTrials := tr.Registry().Counter("tpg.pool.trials", "Per-fault PODEM generations dispatched by the fault-parallel driver.")
 
 	var (
@@ -83,7 +79,7 @@ func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, 
 		panicked atomic.Pointer[any]
 	)
 	work := func() {
-		p := newGen(topo, piIdx, scoap)
+		p := newGen()
 		defer func() { btTotal.Add(p.Backtracks) }()
 		for !stop.Load() {
 			i := int(next.Add(1) - 1)

@@ -22,6 +22,13 @@ const (
 // faults, implementing the classic PODEM algorithm: PI-only decisions,
 // objective/backtrace guidance, five-valued (good/faulty ternary pair)
 // implication, and chronological backtracking.
+//
+// Implication is event-driven. Generate sweeps both machines over the whole
+// circuit once per fault; after that, a decision, flip or unassignment
+// re-evaluates only the gates reachable from the PIs it changed, level by
+// level, and stops wherever a gate's (good, bad) pair is unchanged. Every
+// line value is a pure function of the PI assignment, so the search is the
+// same as with a full sweep per step, only cheaper.
 type Podem struct {
 	C *circuit.Circuit
 	// BacktrackLimit bounds the search per fault (default 2000).
@@ -37,45 +44,75 @@ type Podem struct {
 
 	ctxTick int
 
-	topo   []circuit.Line
-	piIdx  map[circuit.Line]int
+	*guidance
 	goodV  []v3
 	badV   []v3
 	assign []v3 // current PI assignment
+
+	// The current fault's fanout cone: outside it the faulty machine
+	// equals the good one.
 	inCone []bool
-	scoap  *Scoap // SCOAP guidance for backtrace input selection
+	cone   []circuit.Line // topological order
+	dfs    []circuit.Line // scratch for the cone search
+
+	// Lines awaiting re-evaluation, bucketed by logic level. A reader's
+	// level exceeds each of its fanins', so draining the buckets in
+	// ascending order evaluates every gate after all of its changed fanins.
+	pending [][]circuit.Line
+	queued  []bool
+	top     int // highest level holding a pending line, -1 when none
+}
+
+// guidance holds the read-only tables Generate consults. They depend only on
+// the circuit, so the fault-parallel driver in parallel.go builds them once
+// and shares them across every worker's generator.
+type guidance struct {
+	topo   []circuit.Line
+	fanout [][]circuit.Line
+	level  []int32
+	piIdx  []int32 // position in C.PIs of each PI line, -1 for other lines
+	scoap  *Scoap  // SCOAP guidance for backtrace input selection
+}
+
+// newGuidance computes the tables for c. Building them also fills the
+// circuit's lazily derived topo order, fanout lists and levels, so
+// generators that share the result only ever read the circuit.
+func newGuidance(c *circuit.Circuit) *guidance {
+	piIdx := make([]int32, c.NumLines())
+	for i := range piIdx {
+		piIdx[i] = -1
+	}
+	for i, pi := range c.PIs {
+		piIdx[pi] = int32(i)
+	}
+	return &guidance{
+		topo:   c.Topo(),
+		fanout: c.Fanout(),
+		level:  c.Levels(),
+		piIdx:  piIdx,
+		scoap:  ComputeScoap(c),
+	}
 }
 
 // NewPodem prepares a generator for the circuit.
 func NewPodem(c *circuit.Circuit) *Podem {
-	return newPodemWith(c, c.Topo(), piIndex(c), ComputeScoap(c))
+	return newPodemWith(c, newGuidance(c))
 }
 
-// newPodemWith builds a generator around precomputed guidance tables (topo
-// order, PI index, SCOAP measures). The tables are read-only inside
-// Generate, so the fault-parallel driver in parallel.go computes them once
-// and shares them across every worker's generator.
-func newPodemWith(c *circuit.Circuit, topo []circuit.Line, piIdx map[circuit.Line]int, scoap *Scoap) *Podem {
+// newPodemWith builds a generator around shared guidance tables.
+func newPodemWith(c *circuit.Circuit, g *guidance) *Podem {
 	return &Podem{
 		C:              c,
 		BacktrackLimit: 2000,
-		topo:           topo,
-		piIdx:          piIdx,
+		guidance:       g,
 		goodV:          make([]v3, c.NumLines()),
 		badV:           make([]v3, c.NumLines()),
 		assign:         make([]v3, len(c.PIs)),
 		inCone:         make([]bool, c.NumLines()),
-		scoap:          scoap,
+		pending:        make([][]circuit.Line, c.Depth()+1),
+		queued:         make([]bool, c.NumLines()),
+		top:            -1,
 	}
-}
-
-// piIndex maps each PI line to its position in c.PIs.
-func piIndex(c *circuit.Circuit) map[circuit.Line]int {
-	idx := make(map[circuit.Line]int, len(c.PIs))
-	for i, pi := range c.PIs {
-		idx[pi] = i
-	}
-	return idx
 }
 
 type decision struct {
@@ -85,9 +122,9 @@ type decision struct {
 }
 
 // podemCheckInterval is how many decision-loop iterations Generate runs
-// between context polls. Each iteration already costs a full implication
-// pass, so a small interval keeps cancellation prompt without measurable
-// overhead.
+// between context polls. An iteration costs at most one event-driven
+// implication, usually over a few gates, so a small interval keeps
+// cancellation prompt without measurable overhead.
 const podemCheckInterval = 64
 
 // cancelled polls the generator's context at bounded intervals.
@@ -109,19 +146,8 @@ func (p *Podem) Generate(ft fault.Fault) ([]v3, PodemResult) {
 	for i := range p.assign {
 		p.assign[i] = x3
 	}
-	// Restrict propagation bookkeeping to the fault's output cone.
-	for i := range p.inCone {
-		p.inCone[i] = false
-	}
-	coneRoot := ft.Line
-	if !ft.IsStem() {
-		coneRoot = ft.Reader
-	}
-	for _, l := range p.C.FanoutCone(coneRoot) {
-		p.inCone[l] = true
-	}
-
-	p.imply(ft)
+	p.setCone(ft)
+	p.sweep(ft)
 	var stack []decision
 	backtracks := 0
 	defer func() {
@@ -141,7 +167,7 @@ func (p *Podem) Generate(ft fault.Fault) ([]v3, PodemResult) {
 		if ok {
 			pi, val, found := p.backtrace(obj)
 			if found {
-				p.assign[pi] = val
+				p.setPI(pi, val)
 				stack = append(stack, decision{pi: pi, value: val})
 				p.imply(ft)
 				continue
@@ -156,7 +182,7 @@ func (p *Podem) Generate(ft fault.Fault) ([]v3, PodemResult) {
 			if !d.flipped {
 				d.flipped = true
 				d.value = not3(d.value)
-				p.assign[d.pi] = d.value
+				p.setPI(d.pi, d.value)
 				backtracks++
 				if backtracks > p.BacktrackLimit {
 					return nil, Aborted
@@ -164,7 +190,7 @@ func (p *Podem) Generate(ft fault.Fault) ([]v3, PodemResult) {
 				p.imply(ft)
 				break
 			}
-			p.assign[d.pi] = x3
+			p.setPI(d.pi, x3)
 			stack = stack[:len(stack)-1]
 		}
 		if p.failed(ft) {
@@ -173,38 +199,122 @@ func (p *Podem) Generate(ft fault.Fault) ([]v3, PodemResult) {
 	}
 }
 
-// imply runs full five-valued simulation from the current PI assignment.
-func (p *Podem) imply(ft fault.Fault) {
-	c := p.C
-	var gin, bin [8]v3
-	for _, l := range p.topo {
-		g := &c.Gates[l]
-		var gv, bv v3
-		if g.Type == circuit.Input {
-			gv = p.assign[p.piIdx[l]]
-			bv = gv
-		} else {
-			gi := gin[:0]
-			bi := bin[:0]
-			for pin, f := range g.Fanin {
-				fg, fb := p.goodV[f], p.badV[f]
-				if !ft.IsStem() && ft.Reader == l && ft.Pin == pin {
-					// Branch fault: the faulty machine reads the stuck value
-					// on this pin only.
-					fb = stuck(ft)
-				}
-				gi = append(gi, fg)
-				bi = append(bi, fb)
-			}
-			gv = eval3(g.Type, gi)
-			bv = eval3(g.Type, bi)
-		}
-		if ft.IsStem() && ft.Line == l {
-			bv = stuck(ft)
-		}
-		p.goodV[l] = gv
-		p.badV[l] = bv
+// setCone marks ft's fanout cone and lists it in topological order.
+func (p *Podem) setCone(ft fault.Fault) {
+	for _, l := range p.cone {
+		p.inCone[l] = false
 	}
+	root := ft.Line
+	if !ft.IsStem() {
+		root = ft.Reader
+	}
+	p.inCone[root] = true
+	st := append(p.dfs[:0], root)
+	n := 1
+	for len(st) > 0 {
+		l := st[len(st)-1]
+		st = st[:len(st)-1]
+		for _, r := range p.fanout[l] {
+			if !p.inCone[r] {
+				p.inCone[r] = true
+				st = append(st, r)
+				n++
+			}
+		}
+	}
+	p.dfs = st
+	p.cone = p.cone[:0]
+	for _, l := range p.topo {
+		if p.inCone[l] {
+			p.cone = append(p.cone, l)
+			if len(p.cone) == n {
+				break
+			}
+		}
+	}
+}
+
+// sweep evaluates both machines over every line from the current PI
+// assignment and drops any pending events left by an earlier search.
+func (p *Podem) sweep(ft fault.Fault) {
+	for lv := 0; lv <= p.top; lv++ {
+		for _, l := range p.pending[lv] {
+			p.queued[l] = false
+		}
+		p.pending[lv] = p.pending[lv][:0]
+	}
+	p.top = -1
+	for _, l := range p.topo {
+		p.goodV[l], p.badV[l] = p.eval(ft, l)
+	}
+}
+
+// setPI assigns PI i and schedules it for the next imply when its value
+// changes.
+func (p *Podem) setPI(i int, v v3) {
+	if p.assign[i] == v {
+		return
+	}
+	p.assign[i] = v
+	p.enqueue(p.C.PIs[i])
+}
+
+func (p *Podem) enqueue(l circuit.Line) {
+	if p.queued[l] {
+		return
+	}
+	p.queued[l] = true
+	lv := int(p.level[l])
+	p.pending[lv] = append(p.pending[lv], l)
+	if lv > p.top {
+		p.top = lv
+	}
+}
+
+// imply brings both machines up to date with the PI assignment by
+// re-evaluating the pending lines in level order, scheduling the readers of
+// every line whose (good, bad) pair changes.
+func (p *Podem) imply(ft fault.Fault) {
+	for lv := 0; lv <= p.top; lv++ {
+		// Readers land on higher levels, so this bucket does not grow while
+		// it is drained.
+		for _, l := range p.pending[lv] {
+			p.queued[l] = false
+			gv, bv := p.eval(ft, l)
+			if gv == p.goodV[l] && bv == p.badV[l] {
+				continue
+			}
+			p.goodV[l], p.badV[l] = gv, bv
+			for _, r := range p.fanout[l] {
+				p.enqueue(r)
+			}
+		}
+		p.pending[lv] = p.pending[lv][:0]
+	}
+	p.top = -1
+}
+
+// eval computes line l's (good, bad) pair from its fanins' current values.
+func (p *Podem) eval(ft fault.Fault, l circuit.Line) (gv, bv v3) {
+	g := &p.C.Gates[l]
+	if g.Type == circuit.Input {
+		gv = p.assign[p.piIdx[l]]
+	} else {
+		gv = eval3(g.Type, g.Fanin, p.goodV, -1, 0)
+	}
+	switch {
+	case !p.inCone[l]:
+		bv = gv
+	case ft.IsStem() && ft.Line == l:
+		bv = stuck(ft)
+	case ft.Reader == l:
+		// Branch fault: the faulty machine reads the stuck value on this
+		// pin only.
+		bv = eval3(g.Type, g.Fanin, p.badV, ft.Pin, stuck(ft))
+	default:
+		bv = eval3(g.Type, g.Fanin, p.badV, -1, 0)
+	}
+	return gv, bv
 }
 
 func stuck(ft fault.Fault) v3 {
@@ -240,12 +350,7 @@ func (p *Podem) failed(ft fault.Fault) bool {
 // activation reports whether the fault is currently excited, and whether it
 // still can be.
 func (p *Podem) activation(ft fault.Fault) (active, possible bool) {
-	var g v3
-	if ft.IsStem() {
-		g = p.goodV[ft.Line]
-	} else {
-		g = p.goodV[ft.Line]
-	}
+	g := p.goodV[ft.Line]
 	want := not3(stuck(ft))
 	if g == want {
 		return true, true
@@ -274,10 +379,7 @@ func (p *Podem) objective(ft fault.Fault) (obj struct {
 	// D-frontier: a gate in the fault cone whose output good==bad or
 	// unknown-equal is of no use; we need gates where some input differs and
 	// the output is still unknown on either machine.
-	for _, l := range p.topo {
-		if !p.inCone[l] {
-			continue
-		}
+	for _, l := range p.cone {
 		g := &p.C.Gates[l]
 		if g.Type == circuit.Input {
 			continue
@@ -339,10 +441,11 @@ func (p *Podem) backtrace(obj struct {
 	for steps := 0; steps < p.C.NumLines()+8; steps++ {
 		g := &p.C.Gates[l]
 		if g.Type == circuit.Input {
-			if p.assign[p.piIdx[l]] != x3 {
+			i := int(p.piIdx[l])
+			if p.assign[i] != x3 {
 				return 0, 0, false // already decided; objective unreachable
 			}
-			return p.piIdx[l], v, true
+			return i, v, true
 		}
 		if g.Type == circuit.Const0 || g.Type == circuit.Const1 {
 			return 0, 0, false

@@ -40,8 +40,7 @@ func TestEval3MatchesBinary(t *testing.T) {
 	for _, tt := range types {
 		for a := 0; a < 2; a++ {
 			for b := 0; b < 2; b++ {
-				in := []v3{v3(a), v3(b)}
-				got := eval3(tt, in)
+				got := eval3(tt, []circuit.Line{0, 1}, []v3{v3(a), v3(b)}, -1, 0)
 				rows := [][]uint64{{uint64(a)}, {uint64(b)}}
 				out := make([]uint64, 1)
 				sim.EvalGateInto(tt, out, 1, rows...)

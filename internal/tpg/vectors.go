@@ -44,9 +44,11 @@ type Result struct {
 }
 
 // BuildVectors produces the vector set V used by the diagnosis experiments:
-// Random patterns first, then (optionally) one deterministic PODEM test for
-// every collapsed stuck-at fault the random set missed, with fault dropping
-// after every added test. Don't-care PI positions are filled randomly.
+// Random patterns first, then (optionally) one PODEM search for every
+// collapsed stuck-at fault the random set missed. Every such fault gets its
+// own search; a generated test is not fault-simulated against the faults
+// still waiting, so no fault is dropped between generated tests. Don't-care
+// PI positions are filled randomly.
 func BuildVectors(c *circuit.Circuit, opt Options) *Result {
 	return BuildVectorsContext(context.Background(), c, opt)
 }
@@ -107,10 +109,12 @@ func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *
 			}
 		}
 		if len(extra) > 0 {
+			// V only changes when PODEM appended patterns; otherwise the
+			// random-pattern detection above already covers it.
 			appendPatterns(res, extra, rng)
+			det = fault.Detected(c, reps, res.PI, res.N)
 		}
 		res.Backtracks = backtracks
-		det = fault.Detected(c, reps, res.PI, res.N)
 	}
 
 	res.Coverage = fault.Coverage(det)
