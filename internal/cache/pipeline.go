@@ -72,9 +72,7 @@ func (p *Pipeline) ParseBench(text string) (*circuit.Circuit, error) {
 
 // Vectors builds (or replays) the ATPG vector set for c under opt. The cache
 // key is the circuit's structural fingerprint plus every option that shapes
-// the result — opt.Workers is deliberately excluded, because the parallel
-// PODEM pass is bit-identical at any worker count (see tpg.Options.Workers).
-// Cancelled (partial) results are returned but never cached, and circuits
+// the result. Cancelled (partial) results are returned but never cached, and circuits
 // without a fingerprint (combinational cycles) bypass the cache entirely.
 func (p *Pipeline) Vectors(ctx context.Context, c *circuit.Circuit, opt tpg.Options) *tpg.Result {
 	if !p.Enabled() {

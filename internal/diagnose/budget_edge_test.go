@@ -93,21 +93,48 @@ func TestBudgetNegativeLimitsAreUnlimited(t *testing.T) {
 }
 
 // Counted budgets promise deterministic truncation: the same inputs and the
-// same budget stop at the same point with the same partial answer.
+// same budget stop at the same point with the same partial answer, at any
+// worker count. The cuts land mid-way through a Heuristic-1 fan-out (the
+// MaxSimulations 22 and 130 rows) or a correction-screen fan-out (the rest),
+// and the expected status, solutions and counters are literals recorded
+// before the trial loops moved onto the ordered pool fan-out, so any drift
+// in where a budget stops the search shows up here.
 func TestBudgetTruncationIsDeterministic(t *testing.T) {
+	relaxed := Params{H1: 0.5, H2: 0.9, H3: 0.97}
+	final := Params{H1: 0.3, H2: 0.7, H3: 0.95}
+	cases := []struct {
+		budget Budget
+		keys   []string
+		stats  Stats
+	}{
+		{Budget{MaxNodes: 6}, []string{"L13->L78.0/0|L17/0"},
+			Stats{Nodes: 6, Rounds: 3, Trials: 63, Screened: 429, Schedule: final, Simulations: 174, Candidates: 492, Verified: 1}},
+		{Budget{MaxSimulations: 22}, nil,
+			Stats{Nodes: 2, Rounds: 1, Schedule: relaxed, Simulations: 22}},
+		{Budget{MaxSimulations: 130}, nil,
+			Stats{Nodes: 4, Rounds: 2, Trials: 35, Screened: 305, Schedule: final, Simulations: 130, Candidates: 340}},
+		{Budget{MaxSimulations: 160}, nil,
+			Stats{Nodes: 4, Rounds: 2, Trials: 52, Screened: 371, Schedule: final, Simulations: 160, Candidates: 423}},
+		{Budget{MaxCandidates: 100}, nil,
+			Stats{Nodes: 2, Rounds: 1, Trials: 8, Screened: 92, Schedule: relaxed, Simulations: 50, Candidates: 100}},
+		{Budget{MaxCandidates: 420}, nil,
+			Stats{Nodes: 4, Rounds: 2, Trials: 50, Screened: 370, Schedule: final, Simulations: 158, Candidates: 420}},
+	}
 	c, devOut, pi, n := resumeFixture(t)
-	opt := Options{MaxErrors: 2, Exact: true, Seed: 7, Budget: Budget{MaxNodes: 6}}
-
-	a, _ := journaledRun(t, c, devOut, pi, n, opt)
-	b, _ := journaledRun(t, c, devOut, pi, n, opt)
-	if a.Status != StatusBudgetExhausted || b.Status != StatusBudgetExhausted {
-		t.Fatalf("statuses = %v, %v, want BudgetExhausted twice", a.Status, b.Status)
-	}
-	if !equalStrings(solutionKeys(a), solutionKeys(b)) {
-		t.Errorf("truncated solutions differ: %v vs %v", solutionKeys(a), solutionKeys(b))
-	}
-	if as, bs := a.Stats.Deterministic(), b.Stats.Deterministic(); as != bs {
-		t.Errorf("truncated stats differ:\n%+v\n%+v", as, bs)
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			opt := Options{MaxErrors: 2, Exact: true, Seed: 7, Budget: tc.budget, Workers: workers}
+			res, _ := journaledRun(t, c, devOut, pi, n, opt)
+			if res.Status != StatusBudgetExhausted {
+				t.Errorf("%+v workers=%d: status = %v, want BudgetExhausted", tc.budget, workers, res.Status)
+			}
+			if got := solutionKeys(res); !equalStrings(got, tc.keys) {
+				t.Errorf("%+v workers=%d: solutions = %v, want %v", tc.budget, workers, got, tc.keys)
+			}
+			if got := res.Stats.Deterministic(); got != tc.stats {
+				t.Errorf("%+v workers=%d: stats\n got  %+v\n want %+v", tc.budget, workers, got, tc.stats)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -61,7 +62,7 @@ func (r *runState) emitCheckpoint(round int, frontier []*node, nodesStep int) {
 		Seed:      r.opt.Seed,
 		Exact:     r.opt.Exact,
 		MaxErrors: r.opt.MaxErrors,
-		Frontier: make([]FrontierEntry, len(frontier)),
+		Frontier:  make([]FrontierEntry, len(frontier)),
 		// Deterministic drops the wall-clock phase times: they would make
 		// checkpoints (and hence journals) non-reproducible, and a resumed
 		// run restarts its wall-clock budget anyway.
@@ -94,7 +95,9 @@ func (r *runState) emitCheckpoint(round int, frontier []*node, nodesStep int) {
 
 // DecodeCheckpoint extracts the Checkpoint payload from a parsed journal
 // checkpoint event, round-tripping the already-parsed attribute tree through
-// JSON to regain the typed form.
+// JSON to regain the typed form. An unknown key in the state is corruption
+// (a bit flip in "frontier" would otherwise decode as an empty frontier and
+// resume to a wrong answer), so it is an error.
 func DecodeCheckpoint(pe telemetry.ParsedEvent) (*Checkpoint, error) {
 	if pe.Event != telemetry.EventCheckpoint {
 		return nil, fmt.Errorf("diagnose: event %q is not a checkpoint", pe.Event)
@@ -108,7 +111,9 @@ func DecodeCheckpoint(pe telemetry.ParsedEvent) (*Checkpoint, error) {
 		return nil, fmt.Errorf("diagnose: checkpoint state: %w", err)
 	}
 	cp := &Checkpoint{}
-	if err := json.Unmarshal(raw, cp); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cp); err != nil {
 		return nil, fmt.Errorf("diagnose: checkpoint state: %w", err)
 	}
 	if cp.Step < 0 || cp.Round < 1 {

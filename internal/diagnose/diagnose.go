@@ -132,12 +132,11 @@ type Options struct {
 	// Workers sets the number of concurrent evaluation workers used for the
 	// per-node trial loops (heuristic-1 ranking, correction screening) and
 	// the verification gate's batch re-simulation. 0 selects GOMAXPROCS; 1
-	// runs the exact sequential legacy path. Solutions, journals and
-	// Stats.Deterministic are bit-identical for every value: parallel
-	// fan-outs shard work by index and merge results in index order. Runs
-	// with counted budgets (Budget.MaxSimulations / MaxNodes /
-	// MaxCandidates) always take the sequential path so their deterministic
-	// truncation points are preserved.
+	// runs every item inline on the caller. Solutions, journals and
+	// Stats.Deterministic are bit-identical for every value: fan-outs shard
+	// work by index and fold results in index order. Runs with counted
+	// budgets (Budget.MaxSimulations / MaxNodes / MaxCandidates) always use
+	// one worker so their deterministic truncation points are preserved.
 	Workers int
 	// NoVerify disables the verified-results gate. By default every solution
 	// is independently re-proven before it is recorded: the corrections are

@@ -4,37 +4,51 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dedc/internal/circuit"
 	"dedc/internal/sim"
 )
 
-// minParallelItems is the smallest fan-out worth spinning the pool for:
-// below it, goroutine hand-off costs more than the trials themselves.
-const minParallelItems = 8
-
-// useParallel reports whether a fan-out of n items should run on the engine
-// pool. The answer never changes results — only which code path computes
-// them — because parallel fan-outs merge by item index.
-func (r *runState) useParallel(n int) bool {
-	return r.pool != nil && r.parOK && !r.halted && n >= minParallelItems
-}
-
-// bindPool points the pool at the current node's engine. Nodes are expanded
-// one at a time, so one bind per engine suffices; rebinding reuses the
-// workers' scratch slabs.
-func (r *runState) bindPool(e *sim.Engine) {
-	if r.poolBound != e {
-		r.pool.Bind(e)
-		r.poolBound = e
+// initWorkers sets up the run's evaluation workers from Options.Workers: the
+// engine pool every per-node trial loop runs on, the stop predicate its
+// fan-outs poll, and the per-worker scratch rows. Counted budgets pin the
+// pool to one worker: they truncate the search at an exact work item, which
+// needs each item folded into Stats before the next stop poll.
+func (r *runState) initWorkers() {
+	b := r.opt.Budget
+	workers := r.opt.Workers
+	if workers < 1 || b.MaxSimulations != 0 || b.MaxNodes != 0 || b.MaxCandidates != 0 {
+		workers = 1
+	}
+	r.pool = sim.NewEnginePool(workers)
+	r.pool.Instrument(r.tr.Registry())
+	r.itemStop = r.stop
+	if workers > 1 {
+		r.itemStop = r.poolStop()
+	}
+	// All per-worker rows live in one shared slab; the sequential case reuses
+	// the inline backing array, so scratch setup is one allocation.
+	if workers == 1 {
+		r.ws = r.ws1[:]
+	} else {
+		r.ws = make([]workerRows, workers)
+	}
+	rows := make([]uint64, workers*4*r.w)
+	for i := range r.ws {
+		q := rows[i*4*r.w:]
+		r.ws[i] = workerRows{
+			forced: q[0*r.w : 1*r.w],
+			cand:   q[1*r.w : 2*r.w],
+			orBad:  q[2*r.w : 3*r.w],
+			still:  q[3*r.w : 4*r.w],
+		}
 	}
 }
 
-// poolStop builds the worker-safe stop predicate for one fan-out: it polls
-// only the context and the wall-clock deadline (the counted budgets are
-// excluded by parOK) and touches no runState fields, so any worker may call
-// it concurrently. The caller folds the actual halt status on the main
-// goroutine afterwards (stopNow), mirroring how the sequential loops record
-// why they unwound.
+// poolStop builds the worker-safe stop predicate of a multi-worker pool: it
+// polls only the context and the wall-clock deadline (counted budgets pin
+// the pool to one worker) and touches no runState fields, so any worker may
+// call it concurrently. fanOut folds the actual halt status on the caller
+// afterwards (stopNow), mirroring how the sequential loop records why it
+// unwound.
 func (r *runState) poolStop() func() bool {
 	ctx, deadline := r.ctx, r.deadline
 	if ctx == nil && deadline.IsZero() {
@@ -61,57 +75,24 @@ func (r *runState) poolStop() func() bool {
 	}
 }
 
-// rankSuspectsParallel is the pooled heuristic-1 ranking: one trial per
-// suspect, sharded across workers, rectified-bit counts gathered by suspect
-// index and folded in index order. An unclaimed index (stop fired first)
-// stays at the -1 sentinel and is skipped, exactly like the sequential
-// loop's early break.
-func (r *runState) rankSuspectsParallel(ec *expandCtx, suspects []circuit.Line) []scoredLine {
-	rects := make([]int32, len(suspects))
-	for i := range rects {
-		rects[i] = -1
+// fanOut runs one per-node trial loop over the engine pool bound to e:
+// work(engine, rows, i) for each item on any worker, then fold(i) on this
+// goroutine in item order for exactly the items that ran. Every Stats
+// update belongs in fold, which is what keeps Stats, rankings and counted
+// truncation points identical at any worker count. A halted run skips the
+// loop, as the sequential loop's first stop poll would.
+func (r *runState) fanOut(e *sim.Engine, n int, work func(e *sim.Engine, ws *workerRows, i int), fold func(i int)) {
+	if r.halted {
+		return
 	}
-	r.bindPool(ec.e)
-	r.pool.Each(r.poolStop(), len(suspects), func(e *sim.Engine, w, i int) {
-		rects[i] = int32(r.h1Trial(e, &r.ws[w], ec, suspects[i]))
-	})
-	r.stopNow() // fold a mid-fan-out cancellation/deadline into halt status
-	var lines []scoredLine
-	for i, l := range suspects {
-		if rects[i] < 0 {
-			continue
-		}
-		rect := int(rects[i])
-		r.res.Stats.Simulations++
-		r.hRect.Observe(int64(rect))
-		if float64(rect) >= r.params.H1*float64(ec.errBits)-1e-9 {
-			lines = append(lines, scoredLine{l, rect})
-		}
+	if r.poolBound != e {
+		// Nodes are expanded one at a time, so one bind per engine suffices;
+		// rebinding reuses the workers' scratch slabs.
+		r.pool.Bind(e)
+		r.poolBound = e
 	}
-	return lines
-}
-
-// screenCorrectionsParallel is the pooled correction screen: each candidate
-// of the flat work list is screened on a worker engine, outcomes land in a
-// slot per candidate index, and the fold walks the slots in enumeration
-// order applying the same stats/ranking rule as the sequential loop.
-func (r *runState) screenCorrectionsParallel(ec *expandCtx, work []Correction) []RankedCorrection {
-	outs := make([]screenResult, len(work))
-	r.bindPool(ec.e)
-	r.pool.Each(r.poolStop(), len(work), func(e *sim.Engine, w, i int) {
-		outs[i] = r.screenOne(e, &r.ws[w], ec, work[i])
-	})
-	r.stopNow() // fold a mid-fan-out cancellation/deadline into halt status
-	var cands []RankedCorrection
-	for i, corr := range work {
-		sr := outs[i]
-		if sr.outcome == screenNotRun {
-			continue
-		}
-		r.res.Stats.Candidates++
-		if done, rc := r.foldScreen(ec, corr, sr); done {
-			cands = append(cands, rc)
-		}
+	r.pool.Each(r.itemStop, n, func(e *sim.Engine, w, i int) { work(e, &r.ws[w], i) }, fold)
+	if r.pool.Size() > 1 {
+		r.stopNow() // fold a mid-fan-out cancellation/deadline into halt status
 	}
-	return cands
 }

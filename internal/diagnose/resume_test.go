@@ -109,6 +109,38 @@ func TestResumeFromTruncatedJournalTail(t *testing.T) {
 	}
 }
 
+// TestResumeSkipsCheckpointWithMangledKey flips one bit of the last
+// checkpoint's "frontier" key. The line is still valid JSON, but the state
+// is corrupt: resume must fall back to the previous checkpoint and still
+// converge, not continue from an empty frontier.
+func TestResumeSkipsCheckpointWithMangledKey(t *testing.T) {
+	c, devOut, pi, n := resumeFixture(t)
+	opt := Options{MaxErrors: 2, Exact: true, Seed: 7}
+	full, journal := journaledRun(t, c, devOut, pi, n, opt)
+	last, err := LatestCheckpoint(bytes.NewReader(journal))
+	if err != nil || last == nil || last.Round < 2 {
+		t.Fatalf("want a checkpoint past round 1, got %+v (err %v)", last, err)
+	}
+
+	at := bytes.LastIndex(journal, []byte(`"frontier"`))
+	mangled := append([]byte(nil), journal...)
+	mangled[at+4] ^= 0x40 // "frontier" -> "fro.tier"
+	cp, err := LatestCheckpoint(bytes.NewReader(mangled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil || cp.Step != last.Step || cp.Round != last.Round-1 {
+		t.Fatalf("mangled journal resumes from %+v, want the checkpoint before step %d round %d", cp, last.Step, last.Round)
+	}
+	res, err := ResumeFromJournal(context.Background(), bytes.NewReader(mangled), c, devOut, pi, n, StuckAtModel{}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := solutionKeys(res), solutionKeys(full); !equalStrings(got, want) {
+		t.Errorf("resumed solutions = %v, want %v", got, want)
+	}
+}
+
 func TestResumeEmptyJournalRunsFresh(t *testing.T) {
 	c, devOut, pi, n := resumeFixture(t)
 	opt := Options{MaxErrors: 2, Exact: true}

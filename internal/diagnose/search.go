@@ -57,7 +57,6 @@ func runSearch(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64
 		tr:      tr,
 	}
 	r.instrument()
-	r.initWorkers()
 	budgetTime := opt.TimeBudget
 	if opt.Budget.Time > 0 && (budgetTime == 0 || opt.Budget.Time < budgetTime) {
 		budgetTime = opt.Budget.Time
@@ -65,6 +64,7 @@ func runSearch(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64
 	if budgetTime > 0 {
 		r.deadline = time.Now().Add(budgetTime)
 	}
+	r.initWorkers() // after the deadline: the pool's stop predicate reads it
 	runCtx := r.ctx
 	startStep := 0
 	if cp != nil {
@@ -154,16 +154,14 @@ type runState struct {
 	cVerifyFail *telemetry.Counter   // result.verify_failed — solutions dropped by it
 	hRect       *telemetry.Histogram // diagnose.h1_rect — per-suspect rectified bits
 
-	// Evaluation workers. pool is nil for Workers=1 runs (the exact legacy
-	// sequential path); parOK records whether this run's budget shape allows
-	// parallel fan-outs at all (counted budgets force sequential execution so
-	// their deterministic truncation points survive). ws holds the per-worker
-	// scratch rows; sequential runs use ws[0].
+	// Evaluation workers (see initWorkers). Every per-node trial loop runs
+	// on pool through fanOut, polling itemStop between items; ws holds the
+	// per-worker scratch rows.
 	pool      *sim.EnginePool
-	parOK     bool
 	poolBound *sim.Engine // engine the pool is currently bound to
+	itemStop  func() bool
 	ws        []workerRows
-	ws1       [1]workerRows // backing array for the sequential case
+	ws1       [1]workerRows // backing array for the single-worker case
 
 	isPOrow map[circuit.Line]int // line -> PO index
 }
@@ -176,39 +174,6 @@ type workerRows struct {
 	cand   []uint64 // screen: candidate-correction output row
 	orBad  []uint64 // screen: OR of newly-erroneous bits (Vcorr)
 	still  []uint64 // fixedVectors: OR of post-trial diffs
-}
-
-// initWorkers sets up the run's evaluation workers from Options.Workers:
-// the engine pool (only when parallel execution is both requested and
-// deterministic-safe) and the per-worker scratch rows. Counted budgets need
-// the sequential path — they truncate the search at an exact work-item
-// index, which a concurrent fan-out cannot reproduce.
-func (r *runState) initWorkers() {
-	b := r.opt.Budget
-	r.parOK = b.MaxSimulations == 0 && b.MaxNodes == 0 && b.MaxCandidates == 0
-	workers := 1
-	if r.opt.Workers > 1 && r.parOK {
-		workers = r.opt.Workers
-		r.pool = sim.NewEnginePool(workers)
-		r.pool.Instrument(r.tr.Registry())
-	}
-	// All per-worker rows live in one shared slab; the sequential case reuses
-	// the inline backing array, so scratch setup is one allocation.
-	if workers == 1 {
-		r.ws = r.ws1[:]
-	} else {
-		r.ws = make([]workerRows, workers)
-	}
-	rows := make([]uint64, workers*4*r.w)
-	for i := range r.ws {
-		q := rows[i*4*r.w:]
-		r.ws[i] = workerRows{
-			forced: q[0*r.w : 1*r.w],
-			cand:   q[1*r.w : 2*r.w],
-			orBad:  q[2*r.w : 3*r.w],
-			still:  q[3*r.w : 4*r.w],
-		}
-	}
 }
 
 // instrument resolves the run's metric handles from the tracer's registry
@@ -688,28 +653,20 @@ type scoredLine struct {
 // rankSuspects runs heuristic 1 over the surviving path-trace lines: invert
 // each suspect's Verr bit-list (its values on failing vectors), propagate,
 // and keep the lines whose maximum effect rectifies at least H1·errBits
-// erroneous output bits. Workers>1 runs the trials on the engine pool with
-// results merged in suspect order, bit-identical to the sequential loop.
+// erroneous output bits. The trials fan out over the engine pool and fold
+// in suspect order.
 func (r *runState) rankSuspects(ec *expandCtx, suspects []circuit.Line) []scoredLine {
-	if r.useParallel(len(suspects)) {
-		return r.rankSuspectsParallel(ec, suspects)
-	}
-	e := ec.e
-	ws := &r.ws[0]
+	rects := make([]int, len(suspects))
 	var lines []scoredLine
-	for _, l := range suspects {
-		if r.stop() {
-			break
-		}
-		// Invert the line's Verr bit-list (its values on failing vectors)
-		// and propagate: the maximum effect any modification of l can have.
+	r.fanOut(ec.e, len(suspects), func(e *sim.Engine, ws *workerRows, i int) {
+		rects[i] = r.h1Trial(e, ws, ec, suspects[i])
+	}, func(i int) {
 		r.res.Stats.Simulations++
-		rect := r.h1Trial(e, ws, ec, l)
-		r.hRect.Observe(int64(rect))
-		if float64(rect) >= r.params.H1*float64(ec.errBits)-1e-9 {
-			lines = append(lines, scoredLine{l, rect})
+		r.hRect.Observe(int64(rects[i]))
+		if float64(rects[i]) >= r.params.H1*float64(ec.errBits)-1e-9 {
+			lines = append(lines, scoredLine{suspects[i], rects[i]})
 		}
-	}
+	})
 	return lines
 }
 
@@ -732,13 +689,11 @@ func (r *runState) h1Trial(e *sim.Engine, ws *workerRows, ec *expandCtx, l circu
 }
 
 // screenOutcome is one candidate's screening verdict, recorded by index so
-// a parallel fan-out can be folded into stats and rankings in exactly the
-// order the sequential loop would have produced.
+// a fan-out can be folded into stats and rankings in enumeration order.
 type screenOutcome uint8
 
 const (
-	screenNotRun   screenOutcome = iota // stop fired before this candidate
-	screenRejected                      // failed the Theorem-1 complement test
+	screenRejected screenOutcome = iota // failed the Theorem-1 complement test
 	screenNoChange                      // trial identical to base: dead candidate
 	screenNewFails                      // failed the Vcorr newly-failing test
 	screenKept                          // survives; rect/newFails/fixes valid
@@ -753,71 +708,32 @@ type screenResult struct {
 }
 
 // screenCorrections enumerates the correction model at every ranked suspect
-// and screens each candidate: the Theorem-1 complement test (one local gate
-// evaluation), then a full trial propagation for the Vcorr screen and the
-// ranking metrics. Workers>1 fans the per-candidate work out across the
-// engine pool; enumeration, stats accounting and ranking stay on the
-// calling goroutine, folding results in enumeration order.
+// into one flat work list and screens each candidate: the Theorem-1
+// complement test (one local gate evaluation), then a full trial
+// propagation for the Vcorr screen and the ranking metrics. The screens fan
+// out over the engine pool; stats accounting and ranking fold on the
+// calling goroutine in enumeration order.
 func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []RankedCorrection {
-	if r.pool != nil {
-		// Enumerate every suspect up front into one flat work list — the
-		// enumeration order is exactly the sequential loop's processing
-		// order, so sharding by index and folding in index order reproduces
-		// the sequential candidate ranking bit for bit.
-		var work []Correction
-		for _, sl := range lines {
-			work = append(work, r.model.Enumerate(ec.ckt, sl.l)...)
-		}
-		if r.useParallel(len(work)) {
-			return r.screenCorrectionsParallel(ec, work)
-		}
-		return r.screenCorrectionsFlat(ec, work)
-	}
-	e := ec.e
-	ws := &r.ws[0]
-	var cands []RankedCorrection
+	var work []Correction
 	for _, sl := range lines {
-		if r.halted {
-			break
-		}
-		for _, corr := range r.model.Enumerate(ec.ckt, sl.l) {
-			if r.stop() {
-				break
-			}
-			r.res.Stats.Candidates++
-			sr := r.screenOne(e, ws, ec, corr)
-			if done, rc := r.foldScreen(ec, corr, sr); done {
-				cands = append(cands, rc)
-			}
-		}
+		work = append(work, r.model.Enumerate(ec.ckt, sl.l)...)
 	}
-	return cands
-}
-
-// screenCorrectionsFlat is the sequential screen over a pre-enumerated work
-// list — the small-batch fallback of pooled runs. It matches the nested
-// sequential loop exactly: same item order, same stop points, same stats.
-func (r *runState) screenCorrectionsFlat(ec *expandCtx, work []Correction) []RankedCorrection {
-	e := ec.e
-	ws := &r.ws[0]
+	outs := make([]screenResult, len(work))
 	var cands []RankedCorrection
-	for _, corr := range work {
-		if r.stop() {
-			break
-		}
+	r.fanOut(ec.e, len(work), func(e *sim.Engine, ws *workerRows, i int) {
+		outs[i] = r.screenOne(e, ws, ec, work[i])
+	}, func(i int) {
 		r.res.Stats.Candidates++
-		sr := r.screenOne(e, ws, ec, corr)
-		if done, rc := r.foldScreen(ec, corr, sr); done {
+		if done, rc := r.foldScreen(ec, work[i], outs[i]); done {
 			cands = append(cands, rc)
 		}
-	}
+	})
 	return cands
 }
 
 // foldScreen accounts one screened candidate into Stats and, for survivors,
-// produces its ranked form. It is the single merge rule shared by the
-// sequential loops and the parallel fold, which is what keeps their stats
-// and rankings identical.
+// produces its ranked form. It is the screen's fold rule, which is what
+// keeps stats and rankings identical at any worker count.
 func (r *runState) foldScreen(ec *expandCtx, corr Correction, sr screenResult) (bool, RankedCorrection) {
 	switch sr.outcome {
 	case screenRejected:

@@ -50,8 +50,8 @@ const (
 // e.g. "screen_w4": the same root expansion as the base phase on the same
 // circuit × fault × vector cell, with the trial fan-outs sharded over the
 // pool. The base h1rank/screen phases are always measured with Workers=1
-// (the exact legacy path), so a report holding both is a w1-vs-wN comparison
-// on identical work — Report.Speedups divides the pairs.
+// (a one-worker pool, items run inline), so a report holding both is a
+// w1-vs-wN comparison on identical work — Report.Speedups divides the pairs.
 func ParallelPhase(base string, workers int) string {
 	return fmt.Sprintf("%s_w%d", base, workers)
 }
@@ -118,7 +118,7 @@ type Options struct {
 	MaxConflicts int64
 	// Workers, when at least 2, adds engine-pool variants of the h1rank and
 	// screen phases (named by ParallelPhase) measured at that worker count.
-	// The base phases stay pinned to the exact sequential path either way,
+	// The base phases stay pinned to one worker either way,
 	// so the report carries a w1-vs-wN pair per scenario. Zero or 1 measures
 	// the sequential phases only.
 	Workers int
@@ -211,9 +211,9 @@ func runScenario(sc Scenario, opt Options) (*ScenarioResult, error) {
 	e := sim.NewEngine(bad, pi, n)
 	vals := e.Values()
 
-	// Workers: 1 pins the base h1rank/screen phases to the exact sequential
-	// path, so their timings gate the legacy loop and the _wN variants below
-	// measure the pool against an honest w1 reference.
+	// Workers: 1 pins the base h1rank/screen phases to a one-worker pool, so
+	// the _wN variants below measure the helper workers against an honest w1
+	// reference.
 	dopt := diagnose.Options{MaxErrors: sc.Faults, Workers: 1}
 	params := diagnose.DefaultSchedule()[0]
 	if sc.Faults > 1 {
@@ -250,14 +250,6 @@ func runScenario(sc Scenario, opt Options) (*ScenarioResult, error) {
 		tpg.BuildVectorsContext(ctx, good, topt)
 		return 0, nil
 	})
-	if opt.Workers > 1 {
-		wopt := topt
-		wopt.Workers = opt.Workers
-		run(ParallelPhase(PhaseVectors, opt.Workers), func() (int64, error) {
-			tpg.BuildVectorsContext(ctx, good, wopt)
-			return 0, nil
-		})
-	}
 	// The warm-cache variant: measure's untimed warmup run pays the one miss
 	// that populates the pipeline, so every measured rep is a pure hit — the
 	// repeated-circuit fleet workload. The pipeline shares the scenario's

@@ -17,13 +17,12 @@ import (
 // owning private trial scratch, so trials proceed concurrently with zero
 // locking on the hot path. Work is distributed by an atomic index counter:
 // fast workers steal the items slow workers have not claimed yet, and the
-// caller's goroutine itself serves as worker 0, so a pool of size 1 degrades
-// to a plain sequential loop with no goroutines at all.
+// caller's goroutine itself serves as worker 0, so a pool of size 1 is a
+// plain sequential loop with no goroutines at all.
 //
-// The pool itself carries no result semantics — callers shard results by
-// item index into pre-sized slices and reduce them in index order, which is
-// what makes pooled runs bit-identical to sequential ones (see package
-// diagnose).
+// Each is ordered: per-item work may run on any worker, but its results are
+// folded on the caller in item order, which is what makes pooled runs
+// bit-identical to sequential ones (see package diagnose).
 //
 // A pool is bound to one parent engine at a time via Bind and must not be
 // used concurrently with itself; per-worker scratch is reused across Bind
@@ -35,8 +34,8 @@ type EnginePool struct {
 
 	// Pool telemetry, nil (no-op) until Instrument is called.
 	CBatches *telemetry.Counter // sim.pool.batches — Each invocations
-	CTrials  *telemetry.Counter // sim.pool.trials — items dispatched through Each
-	CSteals  *telemetry.Counter // sim.pool.steals — items claimed by helper workers
+	CTrials  *telemetry.Counter // sim.pool.trials — items run through Each
+	CSteals  *telemetry.Counter // sim.pool.steals — items run by helper workers
 }
 
 // NewEnginePool returns a pool of the given size (clamped to at least 1).
@@ -75,89 +74,106 @@ func (p *EnginePool) Bind(root *Engine) {
 	}
 }
 
-// Each runs f(engine, worker, i) for every i in [0, n), distributing items
-// across the pool's workers by atomic claim. The caller's goroutine
-// participates as worker 0 on the bound parent engine; item order within a
-// worker is ascending but interleaving across workers is arbitrary, so f
-// must write results only to per-index or per-worker storage.
+// minParallelItems is the smallest fan-out worth starting helper goroutines
+// for: below it, the hand-off costs more than the items themselves, so Each
+// runs them inline on the caller.
+const minParallelItems = 8
+
+// Each runs work(engine, worker, i) for the items i in [0, n) and fold(i) on
+// the caller's goroutine for exactly the prefix of items that ran, in index
+// order. work may run on any worker, so it must write results only to
+// per-index or per-worker storage; fold may then read them and touch caller
+// state freely.
 //
-// stop, when non-nil, is polled between items on every worker and must be
-// safe for concurrent use; once it returns true no further items are
-// claimed (items already claimed still finish). A panic in f on any worker
-// stops the fan-out and is re-raised on the caller's goroutine after all
-// workers have quiesced, so supervision layers that recover caller panics
-// keep working.
-func (p *EnginePool) Each(stop func() bool, n int, f func(e *Engine, worker, i int)) {
+// stop, when non-nil, is polled before each item is claimed; once it returns
+// true no further items are claimed (items already claimed still finish).
+// With one worker (a pool of size 1, or fewer than minParallelItems items)
+// the loop is inline and fold(i) runs right after work(i), before stop is
+// polled for i+1, so a stop predicate that reads what fold accumulates cuts
+// the loop at an exact item. With helper workers stop must be safe for
+// concurrent use, and the folds run after every worker has quiesced. A panic
+// in work on any worker stops the fan-out and is re-raised on the caller's
+// goroutine, so supervision layers that recover caller panics keep working.
+func (p *EnginePool) Each(stop func() bool, n int, work func(e *Engine, worker, i int), fold func(i int)) {
 	if n <= 0 {
 		return
 	}
 	p.CBatches.Inc()
-	k := p.size
-	if k > n {
-		k = n
-	}
-	if k <= 1 || p.size == 1 {
+	if p.size == 1 || n < minParallelItems {
 		e := p.engines[0]
-		done := 0
-		for i := 0; i < n; i++ {
+		ran := 0
+		for ; ran < n; ran++ {
 			if stop != nil && stop() {
 				break
 			}
-			f(e, 0, i)
-			done++
+			work(e, 0, ran)
+			fold(ran)
 		}
-		p.CTrials.Add(int64(done))
+		p.CTrials.Add(int64(ran))
 		return
 	}
+	ran, stolen := fanOut(min(p.size, n), n, stop, func(worker, i int) {
+		work(p.engines[worker], worker, i)
+	})
+	p.CTrials.Add(int64(ran))
+	p.CSteals.Add(int64(stolen))
+	for i := 0; i < ran; i++ {
+		fold(i)
+	}
+}
 
+// fanOut runs body(worker, i) for the items i in [0, n) on k workers that
+// claim items by atomic index. The caller's goroutine is worker 0; workers
+// 1..k-1 are goroutines labelled for CPU profiles (the journal stays
+// worker-silent by design: workers must not emit events or the journal
+// would depend on the worker count). stop, when non-nil, is polled before
+// each claim. A claimed item always runs, so the items that ran are exactly
+// [0, ran); stolen counts those run by workers other than the caller. The
+// first panic on any worker stops further claims and is re-raised on the
+// caller once every worker has returned. This is the package's only
+// goroutine fan-out.
+func fanOut(k, n int, stop func() bool, body func(worker, i int)) (ran, stolen int) {
 	var (
 		next    atomic.Int64
+		helped  atomic.Int64
 		stopped atomic.Bool
 		panicAt atomic.Pointer[poolPanic]
 		wg      sync.WaitGroup
 	)
-	body := func(worker int) {
+	loop := func(worker int) {
 		defer func() {
 			if v := recover(); v != nil {
 				panicAt.CompareAndSwap(nil, &poolPanic{worker: worker, value: v})
 				stopped.Store(true)
 			}
 		}()
-		e := p.engines[worker]
 		done := 0
-		for {
-			if stopped.Load() || (stop != nil && stop()) {
-				break
-			}
+		for !stopped.Load() && (stop == nil || !stop()) {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				break
 			}
-			f(e, worker, i)
+			body(worker, i)
 			done++
 		}
-		p.CTrials.Add(int64(done))
 		if worker != 0 {
-			p.CSteals.Add(int64(done))
+			helped.Add(int64(done))
 		}
 	}
 	for w := 1; w < k; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// Label the worker goroutine so CPU profiles attribute pool time
-			// per worker (the journal stays worker-silent by design: workers
-			// must not emit events or the journal would depend on the worker
-			// count).
 			pprof.Do(context.Background(), pprof.Labels("dedc.pool.worker", strconv.Itoa(worker)),
-				func(context.Context) { body(worker) })
+				func(context.Context) { loop(worker) })
 		}(w)
 	}
-	body(0)
+	loop(0)
 	wg.Wait()
 	if pp := panicAt.Load(); pp != nil {
-		panic(fmt.Sprintf("sim: engine pool worker %d: %v", pp.worker, pp.value))
+		panic(fmt.Sprintf("sim: pool worker %d: %v", pp.worker, pp.value))
 	}
+	return min(int(next.Load()), n), int(helped.Load())
 }
 
 type poolPanic struct {
@@ -171,7 +187,7 @@ type poolPanic struct {
 const simParallelMinWords = 8
 
 // SimulateParallel is Simulate with the pattern words sharded across
-// workers: each worker runs the full topological walk over its own word
+// workers: each shard runs the full topological walk over its own word
 // range, so the result is bit-identical to Simulate for any worker count
 // (per-pattern values never depend on other patterns). Narrow batches fall
 // back to the sequential path.
@@ -192,26 +208,20 @@ func SimulateParallel(c *circuit.Circuit, pi [][]uint64, n, workers int) [][]uin
 		copy(val[p], pi[i][:w])
 	}
 	topo := c.Topo() // warm the cache on the calling goroutine
-	var wg sync.WaitGroup
-	for sh := 0; sh < workers; sh++ {
+	fanOut(workers, workers, nil, func(_, sh int) {
 		lo, hi := sh*w/workers, (sh+1)*w/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			scratch := make([][]uint64, 0, 8)
-			for _, l := range topo {
-				g := &c.Gates[l]
-				if g.Type == circuit.Input {
-					continue
-				}
-				scratch = scratch[:0]
-				for _, f := range g.Fanin {
-					scratch = append(scratch, val[f][lo:hi])
-				}
-				EvalGateInto(g.Type, val[l][lo:hi], hi-lo, scratch...)
+		scratch := make([][]uint64, 0, 8)
+		for _, l := range topo {
+			g := &c.Gates[l]
+			if g.Type == circuit.Input {
+				continue
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			scratch = scratch[:0]
+			for _, f := range g.Fanin {
+				scratch = append(scratch, val[f][lo:hi])
+			}
+			EvalGateInto(g.Type, val[l][lo:hi], hi-lo, scratch...)
+		}
+	})
 	return val
 }

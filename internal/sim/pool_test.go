@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -29,16 +30,30 @@ func TestEnginePoolEachCoversAllIndices(t *testing.T) {
 		p.Bind(e)
 		const n = 97 // not a multiple of any pool size
 		visits := make([]atomic.Int32, n)
+		var folded []int
 		p.Each(nil, n, func(we *Engine, worker, i int) {
 			if we == nil {
 				t.Errorf("size %d: worker %d got nil engine", size, worker)
 			}
 			visits[i].Add(1)
+		}, func(i int) {
+			if visits[i].Load() != 1 {
+				t.Errorf("size %d: fold(%d) ran before its work", size, i)
+			}
+			folded = append(folded, i)
 		})
 		for i := range visits {
 			if got := visits[i].Load(); got != 1 {
 				t.Fatalf("size %d: index %d visited %d times", size, i, got)
 			}
+		}
+		for i, got := range folded {
+			if got != i {
+				t.Fatalf("size %d: fold order %v, want 0..%d", size, folded, n-1)
+			}
+		}
+		if len(folded) != n {
+			t.Fatalf("size %d: %d folds, want %d", size, len(folded), n)
 		}
 		if got := p.CTrials.Value(); got != n {
 			t.Errorf("size %d: sim.pool.trials = %d, want %d", size, got, n)
@@ -55,12 +70,65 @@ func TestEnginePoolEachStop(t *testing.T) {
 		p := NewEnginePool(size)
 		p.Bind(e)
 		calls := atomic.Int32{}
+		folds := 0
 		p.Each(func() bool { return true }, 1000, func(*Engine, int, int) {
 			calls.Add(1)
-		})
-		if got := calls.Load(); got != 0 {
-			t.Errorf("size %d: stop=true still ran %d items", size, got)
+		}, func(int) { folds++ })
+		if got := calls.Load(); got != 0 || folds != 0 {
+			t.Errorf("size %d: stop=true still ran %d items, %d folds", size, got, folds)
 		}
+	}
+}
+
+// TestEnginePoolFoldPrefix stops a fan-out part-way: the folds must cover
+// exactly the items whose work ran, in index order, with no gaps — the
+// prefix a caller's stats are accumulated over.
+func TestEnginePoolFoldPrefix(t *testing.T) {
+	_, e, _ := poolCircuit(t, 7, 40, 256)
+	for _, size := range []int{1, 2, 4} {
+		p := NewEnginePool(size)
+		p.Bind(e)
+		const n = 500
+		ran := make([]atomic.Bool, n)
+		var polls atomic.Int32
+		var folded []int
+		p.Each(func() bool { return polls.Add(1) > 100 }, n, func(_ *Engine, _, i int) {
+			ran[i].Store(true)
+		}, func(i int) { folded = append(folded, i) })
+		if len(folded) == 0 || len(folded) == n {
+			t.Fatalf("size %d: %d folds, want a strict part of %d", size, len(folded), n)
+		}
+		for i := range ran {
+			want := i < len(folded)
+			if ran[i].Load() != want || (want && folded[i] != i) {
+				t.Fatalf("size %d: item %d ran=%v but folds are %v", size, i, ran[i].Load(), folded)
+			}
+		}
+	}
+}
+
+// TestEnginePoolFoldBeforeNextStop pins the single-worker contract that
+// counted budgets rely on: fold(i) runs right after work(i) and before stop
+// is polled for item i+1, so a stop that reads what the folds accumulated
+// cuts the loop at an exact item.
+func TestEnginePoolFoldBeforeNextStop(t *testing.T) {
+	_, e, _ := poolCircuit(t, 8, 40, 256)
+	p := NewEnginePool(1)
+	p.Bind(e)
+	var log []string
+	folded := 0
+	p.Each(func() bool {
+		log = append(log, fmt.Sprintf("stop@%d", folded))
+		return folded >= 3
+	}, 10, func(_ *Engine, _, i int) {
+		log = append(log, fmt.Sprintf("work%d", i))
+	}, func(i int) {
+		log = append(log, fmt.Sprintf("fold%d", i))
+		folded++
+	})
+	want := "stop@0 work0 fold0 stop@1 work1 fold1 stop@2 work2 fold2 stop@3"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("call order\n got  %s\n want %s", got, want)
 	}
 }
 
@@ -73,7 +141,7 @@ func TestEnginePoolPanicReraised(t *testing.T) {
 				if v == nil {
 					t.Fatalf("size %d: worker panic not re-raised", size)
 				}
-				if s, ok := v.(string); size > 1 && (!ok || !strings.Contains(s, "engine pool worker")) {
+				if s, ok := v.(string); size > 1 && (!ok || !strings.Contains(s, "pool worker")) {
 					t.Fatalf("size %d: unexpected panic value %v", size, v)
 				}
 			}()
@@ -83,7 +151,7 @@ func TestEnginePoolPanicReraised(t *testing.T) {
 				if i == 17 {
 					panic("boom")
 				}
-			})
+			}, func(int) {})
 		}()
 	}
 }
@@ -120,7 +188,7 @@ func TestEnginePoolTrialHammer(t *testing.T) {
 	seq.Bind(e)
 	seq.Each(nil, n, func(we *Engine, _, i int) {
 		want[i] = trialSignature(we, circuit.Line(i))
-	})
+	}, func(int) {})
 	for _, size := range []int{2, 3, 8} {
 		p := NewEnginePool(size)
 		p.Bind(e)
@@ -128,7 +196,7 @@ func TestEnginePoolTrialHammer(t *testing.T) {
 			got := make([]uint64, n)
 			p.Each(nil, n, func(we *Engine, worker, i int) {
 				got[i] = trialSignature(we, circuit.Line(i))
-			})
+			}, func(int) {})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("size %d round %d: pooled trial results diverge from sequential", size, round)
 			}
@@ -154,7 +222,7 @@ func TestEnginePoolRebind(t *testing.T) {
 		got := make([]uint64, n)
 		p.Each(nil, n, func(we *Engine, _, i int) {
 			got[i] = trialSignature(we, circuit.Line(i))
-		})
+		}, func(int) {})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d (%d lines): rebound pool diverges", round, n)
 		}

@@ -44,7 +44,13 @@ type Podem struct {
 
 	ctxTick int
 
-	*guidance
+	// Read-only tables that depend only on the circuit.
+	topo   []circuit.Line
+	fanout [][]circuit.Line
+	level  []int32
+	piIdx  []int32 // position in C.PIs of each PI line, -1 for other lines
+	scoap  *Scoap  // SCOAP guidance for backtrace input selection
+
 	goodV  []v3
 	badV   []v3
 	assign []v3 // current PI assignment
@@ -63,21 +69,8 @@ type Podem struct {
 	top     int // highest level holding a pending line, -1 when none
 }
 
-// guidance holds the read-only tables Generate consults. They depend only on
-// the circuit, so the fault-parallel driver in parallel.go builds them once
-// and shares them across every worker's generator.
-type guidance struct {
-	topo   []circuit.Line
-	fanout [][]circuit.Line
-	level  []int32
-	piIdx  []int32 // position in C.PIs of each PI line, -1 for other lines
-	scoap  *Scoap  // SCOAP guidance for backtrace input selection
-}
-
-// newGuidance computes the tables for c. Building them also fills the
-// circuit's lazily derived topo order, fanout lists and levels, so
-// generators that share the result only ever read the circuit.
-func newGuidance(c *circuit.Circuit) *guidance {
+// NewPodem prepares a generator for the circuit.
+func NewPodem(c *circuit.Circuit) *Podem {
 	piIdx := make([]int32, c.NumLines())
 	for i := range piIdx {
 		piIdx[i] = -1
@@ -85,26 +78,14 @@ func newGuidance(c *circuit.Circuit) *guidance {
 	for i, pi := range c.PIs {
 		piIdx[pi] = int32(i)
 	}
-	return &guidance{
-		topo:   c.Topo(),
-		fanout: c.Fanout(),
-		level:  c.Levels(),
-		piIdx:  piIdx,
-		scoap:  ComputeScoap(c),
-	}
-}
-
-// NewPodem prepares a generator for the circuit.
-func NewPodem(c *circuit.Circuit) *Podem {
-	return newPodemWith(c, newGuidance(c))
-}
-
-// newPodemWith builds a generator around shared guidance tables.
-func newPodemWith(c *circuit.Circuit, g *guidance) *Podem {
 	return &Podem{
 		C:              c,
 		BacktrackLimit: 2000,
-		guidance:       g,
+		topo:           c.Topo(),
+		fanout:         c.Fanout(),
+		level:          c.Levels(),
+		piIdx:          piIdx,
+		scoap:          ComputeScoap(c),
 		goodV:          make([]v3, c.NumLines()),
 		badV:           make([]v3, c.NumLines()),
 		assign:         make([]v3, len(c.PIs)),

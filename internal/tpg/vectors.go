@@ -19,12 +19,6 @@ type Options struct {
 	Deterministic bool
 	// BacktrackLimit for the PODEM pass (default 2000).
 	BacktrackLimit int
-	// Workers fans the deterministic pass's per-fault Generate calls across
-	// this many goroutines (0 or 1 = the sequential legacy loop). Per-fault
-	// searches are independent and results fold in original fault order, so
-	// the produced vector set is bit-identical at any worker count; Workers
-	// is pure wall-clock. Cache keys therefore exclude it.
-	Workers int
 }
 
 // Result carries the produced vector set and generation statistics.
@@ -81,31 +75,32 @@ func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *
 	det := fault.Detected(c, reps, res.PI, res.N)
 
 	if opt.Deterministic {
-		var remaining []fault.Fault
-		for i, f := range reps {
-			if !det[i] {
-				remaining = append(remaining, f)
-			}
+		// One PODEM search per fault the random patterns missed, in fault
+		// order, with a cancellation poll between faults.
+		p := NewPodem(c)
+		p.Ctx = ctx
+		p.CBacktracks = tr.Registry().Counter("tpg.backtracks", "PODEM backtracks during deterministic test generation.")
+		if opt.BacktrackLimit > 0 {
+			p.BacktrackLimit = opt.BacktrackLimit
 		}
-		// generateAll runs the per-fault PODEM searches — sequentially or
-		// over opt.Workers goroutines — and hands back outcomes in fault
-		// order, so everything below (pattern append order, the don't-care
-		// rng stream, the counters) is identical at any worker count.
-		outs, backtracks, cancelled := generateAll(ctx, c, remaining, opt, tr)
-		res.Cancelled = cancelled
 		var extra [][]v3
-		for i := range outs {
-			if !outs[i].done {
+		for i, f := range reps {
+			if det[i] {
 				continue
 			}
-			switch outs[i].result {
+			if ctx.Err() != nil {
+				res.Cancelled = true
+				break
+			}
+			assign, outcome := p.Generate(f)
+			switch outcome {
 			case Untestable:
 				res.Untestable++
 			case Aborted:
 				res.Aborted++
 			case TestFound:
 				res.Generated++
-				extra = append(extra, outs[i].assign)
+				extra = append(extra, assign)
 			}
 		}
 		if len(extra) > 0 {
@@ -114,7 +109,7 @@ func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *
 			appendPatterns(res, extra, rng)
 			det = fault.Detected(c, reps, res.PI, res.N)
 		}
-		res.Backtracks = backtracks
+		res.Backtracks = p.Backtracks
 	}
 
 	res.Coverage = fault.Coverage(det)

@@ -1,6 +1,7 @@
 package tpg
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -51,22 +52,33 @@ var pinnedBuilds = []struct {
 }
 
 // TestBuildVectorsPinned: vector builds stay bit-identical to the recorded
-// results, at one and two workers. Any change to PODEM's search shows here.
+// results. Any change to PODEM's search shows here.
 func TestBuildVectorsPinned(t *testing.T) {
 	for _, pb := range pinnedBuilds {
 		bm, ok := gen.ByName(pb.circuit)
 		if !ok {
 			t.Fatalf("unknown circuit %q", pb.circuit)
 		}
-		c := bm.Build()
-		for _, w := range []int{1, 2} {
-			opt := pb.opt
-			opt.Workers = w
-			r := BuildVectors(c, opt)
-			if got := resultDigest(r); got != pb.digest {
-				t.Errorf("%s w=%d: digest %s, want %s", pb.circuit, w, got, pb.digest)
-			}
+		if got := resultDigest(BuildVectors(bm.Build(), pb.opt)); got != pb.digest {
+			t.Errorf("%s: digest %s, want %s", pb.circuit, got, pb.digest)
 		}
+	}
+}
+
+// TestBuildVectorsCancelled: a build whose context is already cancelled
+// reports Cancelled once PODEM has faults left, and still returns the
+// well-formed random vector set.
+func TestBuildVectorsCancelled(t *testing.T) {
+	c := gen.Random(gen.RandomOptions{PIs: 10, Gates: 120, Seed: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := BuildVectorsContext(ctx, c, Options{Random: 32, Seed: 3, Deterministic: true})
+	if !res.Cancelled {
+		t.Error("cancelled build did not report Cancelled")
+	}
+	if res.N != 32 || len(res.PI) != len(c.PIs) || res.Generated+res.Untestable+res.Aborted != 0 {
+		t.Errorf("partial result malformed: N=%d rows=%d generated=%d untestable=%d aborted=%d",
+			res.N, len(res.PI), res.Generated, res.Untestable, res.Aborted)
 	}
 }
 
