@@ -11,9 +11,6 @@
 #                          lose nothing and finish every job after restart
 #   make stream-chaos    — SIGKILL dedcd mid-SSE-stream; resuming clients must
 #                          converge on the exact persisted lifecycle
-#   make chaos-fleet     — SIGKILL replicas of a 3-node dedcd fleet (biased
-#                          toward the store owner); failover within 2× lease
-#                          TTL, no job lost, solutions identical
 #   make bench-telemetry — disabled-telemetry overhead gate (≤2%)
 #   make journal-check   — end-to-end run journal validation
 #   make bench           — record the quick perf suite to BENCH_core.json
@@ -41,7 +38,7 @@ MINATPGSPEEDUP ?= 5
 SUITE ?= quick
 
 .PHONY: all build vet test race fuzz chaos chaos-resume chaos-store \
-	stream-chaos chaos-fleet ci e2ebench-test check bench-telemetry journal-check bench \
+	stream-chaos ci e2ebench-test check bench-telemetry journal-check bench \
 	bench-compare bench-check bench-parallel bench-atpg bench-service clean
 
 all: build
@@ -99,15 +96,6 @@ chaos-store:
 stream-chaos:
 	CHAOS_STREAM_TRIALS=25 \
 		$(GO) test -race -count 1 -run TestChaosStream -timeout 30m ./cmd/dedcd
-
-# Replica-fleet gate: three dedcd replicas (race build) share one store
-# directory; 50 SIGKILLs land on them under submit load, biased toward the
-# store owner. Every owner kill must elect a new owner within 2× the lease
-# TTL, no accepted job may be lost or settled twice, and every job's solution
-# set must match an uninterrupted run.
-chaos-fleet:
-	CHAOS_FLEET_TRIALS=50 CHAOS_FLEET_RACE=1 \
-		$(GO) test -race -count 1 -run TestChaosFleetKill -timeout 30m ./cmd/dedcd
 
 ci: vet build race e2ebench-test fuzz
 
@@ -193,7 +181,7 @@ bench-atpg:
 	$(GO) run ./cmd/dedcbench -suite quick -q -workers $(BENCHWORKERS) \
 		-min-atpg-speedup $(MINATPGSPEEDUP)
 
-check: ci journal-check bench-telemetry bench-check bench-parallel bench-atpg bench-service chaos-resume chaos-store stream-chaos chaos-fleet
+check: ci journal-check bench-telemetry bench-check bench-parallel bench-atpg bench-service chaos-resume chaos-store stream-chaos
 
 clean:
 	$(GO) clean ./...

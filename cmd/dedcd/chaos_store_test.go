@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -98,6 +99,7 @@ func TestChaosStoreKill(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(20260808))
 	resumed := 0
+	var restarts []time.Duration // SIGKILL → restarted daemon's /readyz 200
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
@@ -119,6 +121,7 @@ func TestChaosStoreKill(t *testing.T) {
 			// and after completion (results must already be durable).
 			delay := time.Duration(rng.Int63n(int64(3*window/2) + 1))
 			time.Sleep(delay)
+			killed := time.Now()
 			d.cmd.Process.Signal(syscall.SIGKILL)
 			d.cmd.Wait()
 
@@ -126,6 +129,7 @@ func TestChaosStoreKill(t *testing.T) {
 			// the orphans and finish the workload.
 			d2 := startStoreDaemon(t, bin, storeDir)
 			defer d2.stop(t)
+			restarts = append(restarts, waitReady(t, d2.base, killed))
 			deadline := time.Now().Add(5 * time.Minute)
 			for _, id := range ids {
 				state, _ := waitTerminal(t, d2.base, id, deadline)
@@ -147,6 +151,69 @@ func TestChaosStoreKill(t *testing.T) {
 	// checkpoint reruns fresh), so it is reported rather than asserted here;
 	// TestRestartResumesFromCheckpoint pins it deterministically.
 	t.Logf("%d of %d post-kill completions resumed a checkpoint", resumed, 2*trials)
+	if len(restarts) > 0 {
+		sort.Slice(restarts, func(i, k int) bool { return restarts[i] < restarts[k] })
+		t.Logf("restart, SIGKILL to /readyz 200, over %d restarts: median %v, max %v",
+			len(restarts), restarts[len(restarts)/2], restarts[len(restarts)-1])
+	}
+}
+
+// waitReady polls /readyz until it answers 200 and returns the time elapsed
+// since from.
+func waitReady(t *testing.T, base string, from time.Time) time.Duration {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); {
+		resp, err := http.Get(base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return time.Since(from)
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("%s never became ready", base)
+	return 0
+}
+
+// TestSecondDaemonOnHeldStoreFails: the store directory is single-writer, so
+// a second dedcd started on a directory a live daemon holds must exit
+// non-zero, name the held lock on stderr, and leave the holder serving.
+func TestSecondDaemonOnHeldStoreFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "dedcd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building dedcd: %v\n%s", err, out)
+	}
+	storeDir := filepath.Join(dir, "store")
+	holder := startStoreDaemon(t, bin, storeDir)
+	defer holder.stop(t)
+
+	second := exec.Command(bin, "-addr", "127.0.0.1:0", "-store-dir", storeDir)
+	var stderr syncBuffer
+	second.Stderr = &stderr
+	if err := second.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- second.Wait() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatalf("second dedcd on a held store exited 0:\n%s", stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		second.Process.Kill()
+		t.Fatalf("second dedcd on a held store kept running:\n%s", stderr.String())
+	}
+	lock := filepath.Join(storeDir, "lock")
+	if msg := stderr.String(); !strings.Contains(msg, lock) || !strings.Contains(msg, "held by another process") {
+		t.Errorf("second dedcd stderr does not name the held lock %s:\n%s", lock, msg)
+	}
+	waitReady(t, holder.base, time.Now())
 }
 
 // TestRestartResumesFromCheckpoint kills dedcd only after a checkpoint ref is

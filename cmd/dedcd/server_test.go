@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -306,6 +307,103 @@ func TestFailedAttemptIsRetried(t *testing.T) {
 	if j.Attempt != 2 {
 		t.Errorf("job completed on attempt %d, want 2 (one retry)", j.Attempt)
 	}
+}
+
+// testClock is a settable store clock, so a test can expire a lease without
+// waiting out its TTL.
+type testClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *testClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *testClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
+// TestExpiredLeaseFencesAttempt: when a running attempt's lease expires and
+// the reaper requeues the job, the dispatcher's next renewal finds the lease
+// dead, cancels the attempt's context and counts one fenced attempt.
+func TestExpiredLeaseFencesAttempt(t *testing.T) {
+	clk := &testClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	st := store.NewMemory(store.Options{
+		LeaseTTL:    time.Minute,
+		MaxAttempts: 3,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  2 * time.Millisecond,
+		Now:         clk.Now,
+	})
+	s := newServer(log, st, supervise.Options{Workers: 1})
+	// Heartbeat and reaper tick every few tens of milliseconds of real time;
+	// the lease itself lives on the store's frozen clock until the test
+	// advances it.
+	s.leaseTTL = 150 * time.Millisecond
+	started := make(chan struct{}, 1)
+	cancelled := make(chan struct{}, 1)
+	s.run = func(ctx context.Context, _ jobRequest, _ runEnv) (*jobResult, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		cancelled <- struct{}{}
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s.start(ctx)
+	t.Cleanup(func() {
+		cancel()
+		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		s.pool.Drain(dctx)
+		st.Close()
+	})
+
+	fenced := cFenced.Value()
+	j, err := st.Submit(json.RawMessage(`{"impl":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.kick()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("attempt never started")
+	}
+	clk.Advance(2 * time.Minute)
+
+	select {
+	case <-cancelled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("attempt context not cancelled after its lease expired")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !leaseExpiryRequeued(st, j.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("reaper never requeued the expired lease: %+v", j)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := cFenced.Value() - fenced; got != 1 {
+		t.Errorf("dedcd.fenced_attempts rose by %d, want 1", got)
+	}
+}
+
+// leaseExpiryRequeued reports whether job id's timeline holds a requeue for
+// an expired lease.
+func leaseExpiryRequeued(st *store.Store, id string) bool {
+	j, _ := st.Lookup(id)
+	for _, e := range j.Timeline {
+		if e.Type == store.TLRequeued && e.Reason == store.ReasonLeaseExpired {
+			return true
+		}
+	}
+	return false
 }
 
 // TestEvictedJobReturns410: after compaction prunes a terminal job, its ID

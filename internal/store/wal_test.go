@@ -507,6 +507,75 @@ func TestSecondOpenIsLockedOut(t *testing.T) {
 	}
 }
 
+// TestOpenRaceTypedLoser: two Opens race one directory, exactly one wins, and
+// the loser gets the typed ErrNotOwner without disturbing the winner.
+func TestOpenRaceTypedLoser(t *testing.T) {
+	dir := t.TempDir()
+	winner, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("first open: %v", err)
+	}
+	defer winner.Close()
+	submit(t, winner, `{"n":1}`)
+
+	loser, err := Open(dir, Options{})
+	if err == nil {
+		loser.Close()
+		t.Fatal("second open succeeded; the flock admitted two writers")
+	}
+	if !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("loser error = %v, want ErrNotOwner", err)
+	}
+	if !strings.Contains(err.Error(), "held by another process") {
+		t.Errorf("loser error %q does not name the held lock", err)
+	}
+
+	// The refused Open must not disturb the winner: it keeps its jobs and
+	// keeps writing.
+	submit(t, winner, `{"n":2}`)
+	if n := len(winner.List()); n != 2 {
+		t.Fatalf("winner retains %d jobs, want 2", n)
+	}
+}
+
+// TestReopenFencesOrphanedClaim: a store closed while a job is claimed
+// requeues that job as an orphan on reopen, and the old claim's token is
+// stale from then on — its late settlement is rejected, not double-applied.
+func TestReopenFencesOrphanedClaim(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit(t, s, `{"n":1}`)
+	claimed := mustClaim(t, s, "w1.c1")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	got, p := s2.Lookup(claimed.ID)
+	if p != Found || got.State != StateQueued {
+		t.Fatalf("claimed job after reopen: %+v (presence %d), want queued", got, p)
+	}
+	if n := len(got.Timeline); n == 0 || got.Timeline[n-1].Type != TLRequeued || got.Timeline[n-1].Reason != ReasonOrphaned {
+		t.Fatalf("claimed job timeline after reopen = %+v, want a trailing orphan requeue", got.Timeline)
+	}
+	if err := s2.Complete(claimed.ID, claimed.Worker, json.RawMessage(`{"stale":true}`)); !errors.Is(err, ErrNotRunning) {
+		t.Fatalf("stale-token Complete = %v, want ErrNotRunning", err)
+	}
+
+	// The requeued job settles normally under a fresh claim.
+	c := mustClaim(t, s2, "w2.c1")
+	if err := s2.Complete(c.ID, c.Worker, json.RawMessage(`{"ok":true}`)); err != nil {
+		t.Fatalf("fresh-token Complete: %v", err)
+	}
+}
+
 func TestValidateReport(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{CompactEvery: 1 << 20})

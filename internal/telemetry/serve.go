@@ -81,10 +81,10 @@ func ServeMux(addr string, mux http.Handler) (*DebugServer, error) {
 	return ServeMuxListener(ln, mux), nil
 }
 
-// ServeMuxListener is ServeMux over a listener the caller already bound —
-// for services that must know their address before the handler can exist
-// (a store replica advertises the address it will serve RPCs on before it
-// joins the election). The server owns ln from here on.
+// ServeMuxListener is ServeMux over a listener the caller already bound, for
+// services that bind before the handler exists (dedcd binds -addr first, so a
+// busy port fails before its store is opened and -addr :0 has a concrete port
+// for -addr-file to report). The server owns ln from here on.
 func ServeMuxListener(ln net.Listener, mux http.Handler) *DebugServer {
 	s := &DebugServer{
 		ln:   ln,
